@@ -45,7 +45,7 @@ module-level sampling entry points (``sample_once``/``sample_batch``/
 from repro.core.uncertain import Uncertain, UncertainBool, uncertain
 from repro.core.lifting import apply as apply_lifted
 from repro.core.lifting import lift
-from repro.core.bayes import Prior, posterior
+from repro.core.bayes import Prior, PriorConflict, posterior
 from repro.core.conditionals import EvaluationConfig, evaluation_config
 from repro.core.sprt import (
     FixedSampleTest,
@@ -85,6 +85,7 @@ __all__ = [
     # priors
     "Prior",
     "posterior",
+    "PriorConflict",
     # unified evaluation surface
     "EvaluationConfig",
     "evaluation_config",

@@ -64,7 +64,7 @@ from repro.core.sprt import (
 )
 from repro.core.conditionals import EvaluationConfig, get_config, evaluation_config
 from repro.core.expectation import expected_value, expected_value_adaptive
-from repro.core.bayes import Prior, posterior
+from repro.core.bayes import Prior, PriorConflict, posterior
 from repro.core.lifting import apply, lift
 from repro.core.joint import ComponentNode, correlated_gaussians, joint
 from repro.core.viz import describe, summary, to_dot
@@ -109,6 +109,7 @@ __all__ = [
     "expected_value_adaptive",
     "Prior",
     "posterior",
+    "PriorConflict",
     "lift",
     "apply",
     "joint",

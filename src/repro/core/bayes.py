@@ -24,6 +24,17 @@ from repro.dists.empirical import Empirical
 from repro.rng import ensure_rng
 
 
+class PriorConflict(ValueError):
+    """The prior gave every proposal zero weight.
+
+    The evidence lies wholly outside what the prior believes possible (a
+    GPS glitch that implies a 200 mph walk under a walking-speed prior),
+    so no posterior exists for it.  Callers that can act without this
+    estimate catch this subclass; other ``ValueError``s still mean a
+    programming error.
+    """
+
+
 class Prior:
     """Domain knowledge as a non-negative weight over sample values.
 
@@ -93,6 +104,8 @@ def posterior(
 
     The result wraps an :class:`~repro.dists.empirical.Empirical` pool, so it
     composes with further computation like any other uncertain value.
+    Raises :class:`PriorConflict` when the prior gives every proposal
+    zero weight.
     """
     from repro.core.uncertain import Uncertain
 
@@ -105,7 +118,7 @@ def posterior(
     weights = prior.weight(proposals)
     total = weights.sum()
     if total <= 0:
-        raise ValueError(
+        raise PriorConflict(
             f"prior {prior.label} assigned zero weight to every proposal; "
             "it likely contradicts the estimate's support"
         )

@@ -221,26 +221,28 @@ def constant_fold(root: Node) -> tuple[Node, PassRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _cse_key(node: Node, new_parents: tuple[Node, ...]):
+def cse_key(node: Node, operands: tuple):
     """Merge key for deterministic nodes; ``None`` = never merge.
 
-    Parent identity is part of the key (ids of the *rewritten* parents),
-    so only true common subexpressions over the same inputs merge.
+    ``operands`` identifies the node's inputs: the CSE pass passes the ids
+    of the *rewritten* parents, so only true common subexpressions over
+    the same inputs merge; plan lowering passes operand slots to find
+    plans where the pass has something to merge.
     """
     kind = type(node)
     if kind is BinaryOpNode:
-        return ("bin", node.op, id(new_parents[0]), id(new_parents[1]))
+        return ("bin", node.op, operands[0], operands[1])
     if kind is UnaryOpNode:
-        return ("un", node.op, id(new_parents[0]))
+        return ("un", node.op, operands[0])
     if kind is PointMassNode:
         value = node.value
         if isinstance(value, _SCALAR_TYPES):
             return ("pm", type(value), value.item() if hasattr(value, "item") else value)
         return None
-    if kind.__name__ == "ComponentNode" and len(new_parents) == 1:
+    if kind.__name__ == "ComponentNode" and len(operands) == 1:
         index = getattr(node, "index", None)
         if index is not None:
-            return ("comp", int(index), id(new_parents[0]))
+            return ("comp", int(index), operands[0])
     # LeafNode (stochastic), ApplyNode (possibly impure) and unknown node
     # kinds never merge.
     return None
@@ -255,7 +257,7 @@ def eliminate_common_subexpressions(root: Node) -> tuple[Node, PassRecord]:
     rewrites: list[str] = []
     for node in order:
         new_parents = tuple(new_of[id(p)] for p in node.parents)
-        key = _cse_key(node, new_parents)
+        key = cse_key(node, tuple(map(id, new_parents)))
         if key is not None:
             existing = canon.get(key)
             if existing is not None:
@@ -289,7 +291,24 @@ def optimize_plan(plan, level: int = 2):
     no pass changes the graph — or when the leaf-order safety guard
     rejects the rewritten graph — the *original* plan object is returned,
     so callers can detect no-ops with ``is``.
+
+    Plans whose lowering found nothing to fold (``plan.foldable``) and,
+    at level 2, nothing to merge (``plan.mergeable``) skip the passes,
+    the re-lowering and the certifier: every pass would be the identity,
+    so the plan comes back with the provenance the pipeline would give.
     """
+    if not plan.foldable and not (level >= 2 and plan.mergeable):
+        n = len(plan.steps)
+        records = [PassRecord("constant-fold", n, n)] if level >= 1 else []
+        if level >= 2:
+            records.append(PassRecord("cse", n, n))
+        records.append(PassRecord("dead-slot-elim", n, n))
+        return plan, tuple(records)
+    return _run_passes(plan, level)
+
+
+def _run_passes(plan, level: int):
+    """The full pipeline behind :func:`optimize_plan` (no early-out)."""
     from repro.core.plan import EvaluationPlan
 
     records: list[PassRecord] = []

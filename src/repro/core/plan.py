@@ -34,7 +34,14 @@ import dataclasses
 import weakref
 from typing import Callable, Iterator
 
-from repro.core.graph import BinaryOpNode, Node, UnaryOpNode, iter_nodes
+from repro.core.graph import (
+    ApplyNode,
+    BinaryOpNode,
+    Node,
+    PointMassNode,
+    UnaryOpNode,
+)
+from repro.core.optimizer import cse_key
 from repro.core.structural import STRUCTURAL_CACHE
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
@@ -42,6 +49,10 @@ from repro.runtime import trace as _trace
 #: Sentinel distinguishing "structural hash not computed yet" from the
 #: legitimate ``None`` result of an opaque (unshareable) plan.
 _UNSET = object()
+
+#: Stack marker of the lowering walk: the node below it has all its
+#: parents placed and takes the next slot.
+_EMIT = object()
 
 
 @dataclasses.dataclass
@@ -58,11 +69,6 @@ class PlanTelemetry:
     plans_compiled: int = 0
     #: Number of :func:`compile_plan` calls satisfied from the cache.
     plan_cache_hits: int = 0
-    #: Fresh compiles whose *shape* was already in the structural cache
-    #: (an isomorphic plan compiled earlier — possibly by another session).
-    structural_hits: int = 0
-    #: Fresh compiles registering a new shape in the structural cache.
-    structural_misses: int = 0
     #: Number of batch executions (one per ``engine.sample`` / context fill).
     batches_executed: int = 0
     #: Number of node evaluations across all batches.
@@ -84,8 +90,6 @@ class PlanTelemetry:
     def reset(self) -> None:
         self.plans_compiled = 0
         self.plan_cache_hits = 0
-        self.structural_hits = 0
-        self.structural_misses = 0
         self.batches_executed = 0
         self.nodes_evaluated = 0
         self.samples_generated = 0
@@ -95,8 +99,6 @@ class PlanTelemetry:
         return {
             "plans_compiled": self.plans_compiled,
             "plan_cache_hits": self.plan_cache_hits,
-            "structural_hits": self.structural_hits,
-            "structural_misses": self.structural_misses,
             "batches_executed": self.batches_executed,
             "nodes_evaluated": self.nodes_evaluated,
             "samples_generated": self.samples_generated,
@@ -162,6 +164,8 @@ class EvaluationPlan:
         "slot_of",
         "root_slot",
         "leaf_slots",
+        "foldable",
+        "mergeable",
         "optimization_level",
         "provenance",
         "_program",
@@ -175,15 +179,87 @@ class EvaluationPlan:
         self.root = root
         slot_of: dict[Node, int] = {}
         steps: list[PlanStep] = []
-        for node in iter_nodes(root):
+        leaf_slots: list[int] = []
+        foldable = mergeable = False
+        merge_keys: set = set()
+        # One iterative post-order walk in exactly ``iter_nodes``' order
+        # (parents pushed left to right, so visited right to left): slot
+        # order is the order every engine consumes the RNG stream in.  A
+        # node waiting for its parents sits under an ``_EMIT`` marker; a
+        # node whose parents are all placed is emitted on the spot, which
+        # is where ``iter_nodes`` would pop it next anyway.
+        stack: list = [root]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node = pop()
+            if node is _EMIT:
+                node = pop()
+            elif node in slot_of:
+                continue
+            else:
+                mark = len(stack)
+                for p in node.parents:
+                    if p not in slot_of:
+                        push(p)
+                if len(stack) != mark:
+                    stack[mark:mark] = (node, _EMIT)
+                    continue
             slot = len(steps)
-            parent_slots = tuple(slot_of[p] for p in node.parents)
-            steps.append(PlanStep(node, slot, parent_slots))
+            parents = node.parents
+            kind = type(node)
+            # Each step also feeds the optimizer's rewrite-candidate
+            # facts: an inner node over point masses only is where
+            # constant folding starts (or records an ApplyNode fold
+            # barrier), and a repeated CSE key (``cse_key`` over operand
+            # slots, inlined for the two operator kinds) is where a merge
+            # starts.  With neither, every pass is the identity (see
+            # optimize_plan).
+            if kind is BinaryOpNode:
+                a, b = parents
+                sa = slot_of[a]
+                sb = slot_of[b]
+                parent_slots = (sa, sb)
+                step = PlanStep(node, slot, parent_slots)
+                if type(a) is PointMassNode and type(b) is PointMassNode:
+                    foldable = True
+                key = ("bin", node.op, sa, sb)
+            elif kind is UnaryOpNode:
+                (a,) = parents
+                sa = slot_of[a]
+                parent_slots = (sa,)
+                step = PlanStep(node, slot, parent_slots)
+                if type(a) is PointMassNode:
+                    foldable = True
+                key = ("un", node.op, sa)
+            elif not parents:
+                parent_slots = ()
+                step = PlanStep(node, slot, parent_slots)
+                leaf_slots.append(slot)
+                key = cse_key(node, parent_slots) if kind is PointMassNode else None
+            else:
+                parent_slots = tuple([slot_of[p] for p in parents])
+                step = PlanStep(node, slot, parent_slots)
+                if kind is ApplyNode and not foldable:
+                    foldable = all([type(p) is PointMassNode for p in parents])
+                key = cse_key(node, parent_slots)
+            if key is not None and not mergeable:
+                if key in merge_keys:
+                    mergeable = True
+                else:
+                    merge_keys.add(key)
+            steps.append(step)
             slot_of[node] = slot
         self.steps: tuple[PlanStep, ...] = tuple(steps)
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
-        self.leaf_slots = tuple(s.slot for s in steps if not s.parent_slots)
+        self.leaf_slots = tuple(leaf_slots)
+        #: Some inner node has only point-mass operands (constant-fold
+        #: has a sub-DAG to fold, or an ApplyNode barrier to record).
+        self.foldable = foldable
+        #: Two steps share a CSE merge key (same op over the same operand
+        #: slots, or equal scalar point masses).
+        self.mergeable = mergeable
         #: 0 for a raw lowering; set by :meth:`optimized` (and preserved
         #: through pickling) on plans produced by the optimizer pipeline.
         self.optimization_level = 0
@@ -204,7 +280,9 @@ class EvaluationPlan:
         Each entry front-loads everything a step needs — opcode, the bound
         callable, output slot, operand slots, and the node (for error
         reporting) — so engines dispatch without per-step attribute
-        lookups.  Built lazily and cached on the plan.
+        lookups.  Built on first use and cached on the plan: plans served
+        by fused kernels never need it, and every tuple it would hold is
+        one more object for the cyclic collector to traverse.
         """
         if self._program is None:
             entries = []
@@ -240,11 +318,18 @@ class EvaluationPlan:
         ``None`` marks an opaque plan (lambdas, user sampling functions)
         that can never be shared structurally.  Computed through the
         process-global :class:`~repro.core.structural.StructuralCache`,
-        so equal shapes across sessions resolve to the same key.
+        so equal shapes across sessions resolve to the same key.  Nothing
+        computes it at compile time: the first consumer that needs it
+        (fused kernel cache, sample ledger, parallel payloads, service
+        coalescing, the rewrite certifier) pays for the fingerprint, and
+        plans that never meet one never hash.
         """
         if self._structural is _UNSET:
-            key, _hit = STRUCTURAL_CACHE.key_for(self)
+            key, hit = STRUCTURAL_CACHE.key_for(self)
             self._structural = key
+            metrics = _metrics.active()
+            if metrics is not None and key is not None:
+                metrics.record_structural(hit)
         return self._structural
 
     def optimized(self, level: int = 2) -> "EvaluationPlan":
@@ -385,25 +470,12 @@ def compile_plan(
     with _trace.span("plan.compile", root=root.label) as span_attrs:
         plan = EvaluationPlan(root)
         span_attrs["slots"] = len(plan.steps)
-        # Stage 2: register the plan's shape in the structural cache.  A
-        # hit means an isomorphic plan (possibly from another session)
-        # already compiled — the signal the structural counters expose.
-        key, structural_hit = STRUCTURAL_CACHE.key_for(plan)
-        plan._structural = key
-        span_attrs["structural_hash"] = key
     root._compiled_plan = plan
     _PLANNED_ROOTS.add(root)
     if telemetry is not None:
         telemetry.plans_compiled += 1
-        if key is not None:
-            if structural_hit:
-                telemetry.structural_hits += 1
-            else:
-                telemetry.structural_misses += 1
     if metrics is not None:
         metrics.record_compile()
-        if key is not None:
-            metrics.record_structural(structural_hit)
     if analyze is not None:
         analyze(plan)
     return plan

@@ -3,12 +3,15 @@
 Stage 2 of the plan compiler: two plans that describe the *same shape* of
 Bayesian network — identical op kinds, arities, distribution parameters
 and sharing topology, regardless of which session built the node objects —
-get the same **structural hash**.  The hash keys the process-wide
-:class:`StructuralCache` (a bounded LRU alongside the per-root cache of
-:mod:`repro.core.plan`) and the fused-kernel cache of
-:mod:`repro.core.fused`, so many sessions compiling the paper's
-``(y + x) + x``-shaped GPS plan share one compilation and one generated
-kernel.
+get the same **structural hash**.  The process-wide
+:class:`StructuralCache` is the registry that hands out these keys (a
+bounded LRU of shapes; it holds no plans).  The keys index the
+fused-kernel cache of :mod:`repro.core.fused`, the sample ledger,
+parallel worker payloads and service coalescing, so many sessions
+compiling the paper's ``(y + x) + x``-shaped GPS plan share one
+generated kernel.  A plan's key is computed on first use by one of
+those consumers (``EvaluationPlan.structural_hash``), never at compile
+time.
 
 Canonical form
 --------------
@@ -282,7 +285,7 @@ class StructuralCache:
             self.collisions = 0
 
 
-#: Process-global structural cache consulted by ``compile_plan``.
+#: Process-global key registry behind ``EvaluationPlan.structural_hash``.
 STRUCTURAL_CACHE = StructuralCache()
 
 

@@ -250,7 +250,7 @@ class Uncertain:
         engine: "str | object | None" = None,
     ) -> Any:
         """Draw one joint sample of the computation."""
-        return _execute_plan(self.plan, 1, self._resolve_rng(rng), engine=engine)[0]
+        return _execute_plan(self.plan, 1, self._draw_rng(rng), engine=engine)[0]
 
     def samples(
         self,
@@ -264,7 +264,7 @@ class Uncertain:
         for this draw (a registered name like ``"numpy"``/``"parallel"``
         or an :class:`~repro.core.engines.ExecutionEngine` instance).
         """
-        return _execute_plan(self.plan, n, self._resolve_rng(rng), engine=engine)
+        return _execute_plan(self.plan, n, self._draw_rng(rng), engine=engine)
 
     def sample_with(
         self, context: SampleContext, engine: "str | object | None" = None
@@ -546,6 +546,18 @@ class Uncertain:
         if rng is None:
             return _cond.get_config().rng
         return ensure_rng(rng)
+
+    @staticmethod
+    def _draw_rng(rng):
+        """``rng`` for one plain draw: integer seeds pass through as-is.
+
+        ``_execute_plan`` builds the generator itself, so the sample
+        ledger sees the seed's ``("seed", s)`` lineage and serves the same
+        prefix rows on every call, as a ledger-off draw would.
+        """
+        if isinstance(rng, (int, np.integer)):
+            return rng
+        return Uncertain._resolve_rng(rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         from repro.core.graph import node_count

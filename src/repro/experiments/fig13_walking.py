@@ -42,11 +42,12 @@ def run(seed: int = 13, fast: bool = True) -> ExperimentResult:
     def describe(label: str, result) -> dict:
         return {
             "version": label,
-            "mean_mph": float(np.mean(result.speeds_mph)),
-            "max_mph": float(np.max(result.speeds_mph)),
+            # NaN marks seconds the prior ruled out (no posterior).
+            "mean_mph": float(np.nanmean(result.speeds_mph)),
+            "max_mph": result.max_speed_mph,
             "running_reports_s": result.running_reports,
             "speed_rmse_vs_truth": float(
-                np.sqrt(np.mean((result.speeds_mph - result.true_speeds_mph) ** 2))
+                np.sqrt(np.nanmean((result.speeds_mph - result.true_speeds_mph) ** 2))
             ),
         }
 

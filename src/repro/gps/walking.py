@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.bayes import Prior, posterior
+from repro.core.bayes import Prior, PriorConflict, posterior
 from repro.core.uncertain import Uncertain
 from repro.gps.geo import enu_distance_m
 from repro.gps.sensor import GpsFix, GpsSensor, gps_posterior_enu
@@ -87,7 +87,7 @@ class WalkingResult:
 
     @property
     def max_speed_mph(self) -> float:
-        return float(self.speeds_mph.max())
+        return float(np.nanmax(self.speeds_mph))
 
     def unfair_speedups(self, slack_mph: float = 0.0) -> int:
         """SpeedUp messages issued while the user truly walked fast enough."""
@@ -141,6 +141,10 @@ def run_uncertain_walking(
     published error model the posterior is centred on the *measured* fix,
     which inflates distances (a Rice-median effect), so the false-positive
     control the paper reports comes from demanding strong evidence.
+
+    A second whose fixes the prior rules out entirely (a glitch implying
+    an impossible walking speed) has no posterior: the app stays SILENT,
+    its speed is NaN and it does not count as running.
     """
     fixes = measure_trace(trace, sensor)
     speeds = []
@@ -149,7 +153,14 @@ def run_uncertain_walking(
     for fix1, fix2 in zip(fixes, fixes[1:]):
         speed = uncertain_speed_mph(fix1, fix2)
         if prior is not None:
-            speed = posterior(speed, prior, n_proposals=posterior_proposals, rng=rng)
+            try:
+                speed = posterior(
+                    speed, prior, n_proposals=posterior_proposals, rng=rng
+                )
+            except PriorConflict:
+                decisions.append(GpsWalkingDecision.SILENT)
+                speeds.append(np.nan)
+                continue
         if speed > TARGET_WALK_MPH:  # implicit: more likely than not
             decisions.append(GpsWalkingDecision.GOOD_JOB)
         elif (speed < TARGET_WALK_MPH).pr(speedup_evidence):

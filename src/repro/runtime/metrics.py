@@ -162,7 +162,8 @@ class RuntimeMetrics:
         self.plan_cache_hits += 1
 
     def record_structural(self, hit: bool) -> None:
-        """One fresh compile checked against the structural plan cache."""
+        """One plan's structural key computed (on first use), matching a
+        registered shape (``hit``) or registering a new one."""
         if hit:
             self.structural_hits += 1
         else:

@@ -163,6 +163,30 @@ class TestStreamSemantics:
             draws = [u.sample() for _ in range(8)]
         assert len(set(draws)) > 1  # cursor advances; no frozen loop values
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_seeded_single_draws_repeat_like_ledger_off(self, engine):
+        u = certified_value()
+        draws = {}
+        for cache in (False, True):
+            with evaluation_config(sample_cache=cache, engine=engine):
+                draws[cache] = (
+                    [float(u.samples(1, rng=1234)[0]) for _ in range(3)]
+                    + [float(u.sample(rng=1234)) for _ in range(3)]
+                )
+        assert draws[True] == draws[False]
+        assert len(set(draws[True])) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_held_generator_single_draws_advance_like_ledger_off(self, engine):
+        u = certified_value()
+        draws = {}
+        for cache in (False, True):
+            held = np.random.default_rng(1234)
+            with evaluation_config(sample_cache=cache, engine=engine):
+                draws[cache] = [float(u.sample(rng=held)) for _ in range(4)]
+        assert draws[True] == draws[False]
+        assert len(set(draws[True])) == 4
+
     def test_serving_never_consumes_the_caller_generator(self):
         u = certified_value()
         with evaluation_config(sample_cache=True) as cfg:

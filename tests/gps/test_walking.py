@@ -5,7 +5,7 @@ import pytest
 
 from repro.gps.geo import GeoCoordinate
 from repro.gps.sensor import GpsFix, GpsSensor
-from repro.gps.trace import WalkConfig, generate_walk
+from repro.gps.trace import WalkConfig, WalkTrace, generate_walk
 from repro.gps.units import MPS_TO_MPH
 from repro.gps.walking import (
     GpsWalkingDecision,
@@ -19,6 +19,16 @@ from repro.gps.walking import (
 from repro.rng import default_rng
 
 ORIGIN = GeoCoordinate(47.64, -122.13)
+
+
+class _ReplaySensor:
+    """Returns pre-made fixes in order, whatever it is asked to measure."""
+
+    def __init__(self, fixes) -> None:
+        self._fixes = iter(fixes)
+
+    def measure(self, position, timestamp):
+        return next(self._fixes)
 
 
 def fixes_apart(distance_m: float, epsilon: float = 4.0) -> tuple[GpsFix, GpsFix]:
@@ -118,6 +128,38 @@ class TestRunWalking:
         )
         assert improved.speeds_mph.max() < plain.speeds_mph.max()
         assert improved.speeds_mph.max() <= 10.0  # prior support
+
+    def test_glitch_the_prior_rules_out_stays_silent(self):
+        # 100 m in 1 s at 4 m accuracy: ~220 mph, outside the walking-speed
+        # prior's support, so SIR has no posterior for that second.
+        from repro.gps.priors import walking_speed_prior
+
+        glitch = fixes_apart(100.0)
+        normal = GpsFix(ORIGIN.offset_m(101.5, 0.0), 4.0, 2.0)
+        trace = WalkTrace(
+            WalkConfig(duration_s=2.0),
+            np.array([0.0, 1.0, 2.0]),
+            (ORIGIN, ORIGIN.offset_m(100.0, 0.0), ORIGIN.offset_m(101.5, 0.0)),
+            np.array([3.0, 3.0]),
+        )
+        result = run_uncertain_walking(
+            trace, _ReplaySensor([*glitch, normal]),
+            prior=walking_speed_prior(), rng=default_rng(18),
+        )
+        assert result.decisions[0] is GpsWalkingDecision.SILENT
+        assert np.isnan(result.speeds_mph[0])
+        assert np.isfinite(result.speeds_mph[1])
+        assert result.running_reports == 0
+        assert result.max_speed_mph == result.speeds_mph[1]
+
+    def test_posterior_conflict_is_a_named_error(self):
+        from repro.core.bayes import PriorConflict, posterior
+        from repro.gps.priors import walking_speed_prior
+
+        speed = uncertain_speed_mph(*fixes_apart(100.0))
+        with pytest.raises(PriorConflict, match="zero weight"):
+            posterior(speed, walking_speed_prior(), n_proposals=2_000,
+                      rng=default_rng(19))
 
     def test_seconds_above_and_max(self):
         result = WalkingResult(
