@@ -38,7 +38,7 @@ from repro.runtime.metrics import RuntimeMetrics
 
 BATCHES = 150
 BATCH_K = 10
-REPEATS = 7
+REPEATS = 41
 SESSIONS = 8
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_plan.json"
 
@@ -74,12 +74,22 @@ def _run_batches(engine, plan, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _best_time(engine, plan) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        _run_batches(engine, plan, seed=0)
-        best = min(best, time.perf_counter() - start)
+def _best_times(arms: dict, run) -> dict:
+    """Best-of-``REPEATS`` seconds of ``run(engine, plan, seed=0)`` per arm.
+
+    The arms are timed round-robin: each repetition runs every arm once,
+    starting from a different arm each time, so a slow spell of the host
+    slows all arms alike instead of one arm's whole block of repeats.
+    """
+    names = list(arms)
+    best = dict.fromkeys(names, float("inf"))
+    for rep in range(REPEATS):
+        shift = rep % len(names)
+        for name in names[shift:] + names[:shift]:
+            engine, plan = arms[name]
+            start = time.perf_counter()
+            run(engine, plan, seed=0)
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
@@ -100,8 +110,11 @@ def test_plan_compilation_speedup(benchmark):
 
     # Warm up (plan program specialization, allocator), then time.
     _run_batches(compiled_engine, plan, seed=0)
-    compiled_s = _best_time(compiled_engine, plan)
-    interpreted_s = _best_time(interpreter, plan)
+    best = _best_times(
+        {"compiled": (compiled_engine, plan), "interpreted": (interpreter, plan)},
+        _run_batches,
+    )
+    compiled_s, interpreted_s = best["compiled"], best["interpreted"]
     speedup = interpreted_s / compiled_s
 
     result = {
@@ -218,15 +231,6 @@ def _run_batches_raw(engine, plan, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _best_time_raw(engine, plan) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        _run_batches_raw(engine, plan, seed=0)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_fused_fig08_speedup(benchmark):
     # One fresh isomorphic graph per "session": the structural cache must
     # recognise the repeated shape so fused kernels amortise across them.
@@ -260,9 +264,13 @@ def test_fused_fig08_speedup(benchmark):
 
     _run_batches_raw(fused, opt, seed=0)  # warm-up: codegen + verification
     _run_batches_raw(compiled, opt, seed=0)
-    fused_s = _best_time_raw(fused, opt)
-    compiled_s = _best_time_raw(compiled, opt)
-    interpreted_s = _best_time_raw(interpreter, plan)
+    best = _best_times(
+        {"fused": (fused, opt), "compiled": (compiled, opt),
+         "interpreted": (interpreter, plan)},
+        _run_batches_raw,
+    )
+    fused_s, compiled_s, interpreted_s = (
+        best["fused"], best["compiled"], best["interpreted"])
     fused_speedup = interpreted_s / fused_s
     compiled_speedup = interpreted_s / compiled_s
 

@@ -265,7 +265,7 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
     # -- classify ----------------------------------------------------------
     # const slots that must materialise as np.full (mirroring the engine):
     # the root, operands of generic/unknown calls, operands of unary ops,
-    # and one side of a const-const binary.
+    # both operands of ``**``, and one side of a const-const binary.
     const_slot = {}
     for step in steps:
         node = step.node
@@ -280,7 +280,15 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
     for step in steps:
         kind = type(step.node)
         parents = step.parent_slots
-        if kind is BinaryOpNode and step.node.op in _INFIX_BINARY:
+        if kind is BinaryOpNode and step.node.op is operator.pow:
+            # ``x ** 2`` and ``x ** 0.5`` with a scalar exponent take
+            # NumPy's square/sqrt fast paths, which can differ from the
+            # true pow the engine computes against an ``np.full`` array
+            # by one ulp: raise to the same materialised operand.
+            for p in parents:
+                if p in const_slot:
+                    const_slot[p] = False
+        elif kind is BinaryOpNode and step.node.op in _INFIX_BINARY:
             a, b = parents
             if a in const_slot and b in const_slot:
                 const_slot[a] = False  # materialise one side; b stays scalar

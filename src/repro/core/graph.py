@@ -245,22 +245,39 @@ class BindNode(Node):
 # ---------------------------------------------------------------------------
 
 
+#: Stack marker of the post-order walks: the node below it has all its
+#: parents placed and is emitted next.
+_EMIT = object()
+
+
 def iter_nodes(root: Node):
-    """Yield every node reachable from ``root`` exactly once (post-order)."""
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    """Yield every node reachable from ``root`` exactly once (post-order).
+
+    Parents are pushed left to right, so they are visited right to left.
+    A node waiting for its parents sits under an ``_EMIT`` marker; a node
+    whose parents are all placed is emitted on the spot.  This order is
+    the slot order of a lowered plan.
+    """
+    seen: set[Node] = set()
+    stack: list = [root]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
+        node = pop()
+        if node is _EMIT:
+            node = pop()
+        elif node in seen:
             continue
-        if expanded:
-            seen.add(id(node))
-            yield node
         else:
-            stack.append((node, True))
+            mark = len(stack)
             for parent in node.parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent not in seen:
+                    push(parent)
+            if len(stack) != mark:
+                stack[mark:mark] = (node, _EMIT)
+                continue
+        seen.add(node)
+        yield node
 
 
 def node_count(root: Node) -> int:

@@ -35,6 +35,7 @@ import weakref
 from typing import Callable, Iterator
 
 from repro.core.graph import (
+    _EMIT,
     ApplyNode,
     BinaryOpNode,
     Node,
@@ -49,10 +50,6 @@ from repro.runtime import trace as _trace
 #: Sentinel distinguishing "structural hash not computed yet" from the
 #: legitimate ``None`` result of an opaque (unshareable) plan.
 _UNSET = object()
-
-#: Stack marker of the lowering walk: the node below it has all its
-#: parents placed and takes the next slot.
-_EMIT = object()
 
 
 @dataclasses.dataclass
@@ -325,12 +322,18 @@ class EvaluationPlan:
         plans that never meet one never hash.
         """
         if self._structural is _UNSET:
-            key, hit = STRUCTURAL_CACHE.key_for(self)
-            self._structural = key
-            metrics = _metrics.active()
-            if metrics is not None and key is not None:
-                metrics.record_structural(hit)
+            self._structural = _registered_key(self.root)
         return self._structural
+
+    def adopt_structural_hash(self, key: str | None) -> None:
+        """Take ``key`` as this plan's structural key unless one is set.
+
+        For callers that already keyed the graph this plan lowers from
+        (:func:`graph_structural_hash`), so the plan does not fingerprint
+        the same shape again.
+        """
+        if self._structural is _UNSET:
+            self._structural = key
 
     def optimized(self, level: int = 2) -> "EvaluationPlan":
         """This plan lowered through the optimizer pipeline at ``level``.
@@ -424,10 +427,33 @@ def _rebuild_plan(
     """
     plan = compile_plan(root)
     if structural_hash is not _UNSET:
-        plan._structural = structural_hash
+        plan.adopt_structural_hash(structural_hash)
     if optimization_level and plan.optimization_level < optimization_level:
         plan.optimization_level = optimization_level
     return plan
+
+
+def _registered_key(root: Node) -> str | None:
+    """Key the graph under ``root`` through the process-global structural
+    cache, counting the hit or miss in the active metrics."""
+    key, hit = STRUCTURAL_CACHE.key_for(root)
+    metrics = _metrics.active()
+    if metrics is not None and key is not None:
+        metrics.record_structural(hit)
+    return key
+
+
+def graph_structural_hash(root: Node) -> str | None:
+    """The structural key of the plan ``root`` lowers to, without lowering.
+
+    Reuses the key of ``root``'s compiled plan when it has one; otherwise
+    keys the graph exactly as :attr:`EvaluationPlan.structural_hash`
+    would, with the same ``plans.structural_hits/misses`` count.
+    """
+    plan = root._compiled_plan
+    if plan is not None:
+        return plan.structural_hash
+    return _registered_key(root)
 
 
 # ---------------------------------------------------------------------------

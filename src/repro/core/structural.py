@@ -1,23 +1,28 @@
-"""Canonical structural hashing of evaluation plans.
+"""Canonical structural hashing of evaluation graphs.
 
-Stage 2 of the plan compiler: two plans that describe the *same shape* of
-Bayesian network — identical op kinds, arities, distribution parameters
-and sharing topology, regardless of which session built the node objects —
-get the same **structural hash**.  The process-wide
-:class:`StructuralCache` is the registry that hands out these keys (a
-bounded LRU of shapes; it holds no plans).  The keys index the
-fused-kernel cache of :mod:`repro.core.fused`, the sample ledger,
-parallel worker payloads and service coalescing, so many sessions
-compiling the paper's ``(y + x) + x``-shaped GPS plan share one
-generated kernel.  A plan's key is computed on first use by one of
-those consumers (``EvaluationPlan.structural_hash``), never at compile
-time.
+Stage 2 of the plan compiler: two graphs that describe the *same shape*
+of Bayesian network — identical op kinds, arities, distribution
+parameters and sharing topology, regardless of which session built the
+node objects — get the same **structural key**.  The process-wide
+:class:`StructuralCache` is the registry that hands out these keys: an
+interned map from fingerprint to key (a bounded LRU of shapes; it holds
+no plans).  The keys index the fused-kernel cache of
+:mod:`repro.core.fused`, the sample ledger, parallel worker payloads and
+service coalescing, so many sessions compiling the paper's
+``(y + x) + x``-shaped GPS plan share one generated kernel.  A plan's key
+is its root's key, computed on first use by one of those consumers
+(``EvaluationPlan.structural_hash``), never at compile time.  A graph
+that has not been lowered yet is keyed the same way
+(``graph_structural_hash`` in :mod:`repro.core.plan`): service
+coalescing keys every request so and compiles only the plan each group
+runs.
 
 Canonical form
 --------------
 
-A plan's fingerprint is the sequence of per-step tokens in slot (topo)
-order.  Each token records the node kind, its operation identity
+A fingerprint (:func:`graph_fingerprint`) is the sequence of per-node
+tokens in ``iter_nodes`` post-order, which is the slot order of the
+lowered plan.  Each token records the node kind, its operation identity
 (``module.qualname`` for named functions, the ufunc name for ufuncs),
 its distribution's :meth:`~repro.dists.base.Distribution.structural_params`
 for leaves, the point-mass value for constants, and the *parent slot
@@ -27,20 +32,25 @@ parent-index sequences even though the node kinds agree.
 
 Anything whose behaviour cannot be proven equal from structure alone —
 lambdas, closures, bound methods, ``FunctionDistribution``, hardened
-``ResilientSource`` wrappers, unknown node kinds — makes the plan
-**opaque**: :func:`plan_fingerprint` returns ``None``, the plan never
+``ResilientSource`` wrappers, unknown node kinds — makes the graph
+**opaque**: :func:`graph_fingerprint` returns ``None``, the shape never
 enters the structural cache, and downstream consumers (fused codegen,
 worker-side payload sharing) fall back to per-plan behaviour.
 
-Collisions
-----------
+Interning and collisions
+------------------------
 
-The digest is a 128-bit BLAKE2b over the fingerprint's canonical repr.
-The cache nevertheless refuses to trust the digest alone: on a digest
-hit it compares the stored fingerprint for full structural equality and,
-if the fingerprints differ (a true hash collision), assigns the newcomer
-a salted variant key (``<digest>#1``, ``#2``, ...) so colliding shapes
-never share cache entries or kernels.
+A key is the 128-bit BLAKE2b digest of the fingerprint's canonical
+repr.  The cache interns fingerprints: a shape seen before gets its key
+from a dict lookup (the fingerprint tuple's hash plus full equality), so
+the repr and the digest are computed once per shape, on the miss that
+registers it.  Token values are tagged strings and ints (floats through
+their ``repr``), so tuple equality is repr equality: ``-0.0`` and ``0.0``
+stay apart and a NaN parameter equals itself.  The digest alone is never
+trusted either: when a new fingerprint's digest is already taken by a
+different fingerprint (a true hash collision), the newcomer gets a salted
+variant key (``<digest>#1``, ``#2``, ...) so colliding shapes never share
+cache entries or kernels.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from repro.core.graph import (
     Node,
     PointMassNode,
     UnaryOpNode,
+    iter_nodes,
 )
 from repro.dists.base import Distribution, Support
 
@@ -80,6 +91,8 @@ def canonical_value(value):
     recurse.  Callables and unknown objects are opaque — equality of
     behaviour cannot be derived from structure.
     """
+    if type(value) is float:  # the common case: leaf params, constants
+        return ("f", repr(value))
     if value is None:
         return ("none",)
     if isinstance(value, (bool, np.bool_)):
@@ -153,7 +166,7 @@ def dist_token(dist: Distribution) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Plan fingerprints.
+# Graph fingerprints.
 # ---------------------------------------------------------------------------
 
 _COMPONENT_NODE = None
@@ -169,7 +182,7 @@ def _component_node_type():
 
 
 def node_token(node: Node, parent_slots: tuple[int, ...]) -> tuple:
-    """Canonical token for one plan step (raises ``StructuralOpaque``)."""
+    """Canonical token for one node (raises ``StructuralOpaque``)."""
     kind = type(node)
     if kind is LeafNode:
         return ("leaf", dist_token(node.dist))
@@ -191,20 +204,29 @@ def node_token(node: Node, parent_slots: tuple[int, ...]) -> tuple:
     raise StructuralOpaque(f"unknown node kind {kind.__name__}")
 
 
-def plan_fingerprint(plan) -> tuple | None:
-    """Canonical fingerprint of ``plan``, or ``None`` when opaque.
+def graph_fingerprint(root: Node) -> tuple | None:
+    """Canonical fingerprint of the graph under ``root``, or ``None``
+    when opaque.
 
     Isomorphic DAGs — same shape built from fresh node objects — produce
     equal fingerprints; differing distribution parameters, op identities,
-    point-mass values or sharing topology produce different ones.
+    point-mass values or sharing topology produce different ones.  Nodes
+    are visited in ``iter_nodes`` post-order, the slot order of the
+    :class:`~repro.core.plan.EvaluationPlan` the graph lowers to, so
+    parent indices are that plan's parent slots.
     """
+    slot_of: dict[Node, int] = {}
+    tokens: list[tuple] = []
     try:
-        tokens = tuple(
-            node_token(step.node, step.parent_slots) for step in plan.steps
-        )
+        for node in iter_nodes(root):
+            slot_of[node] = len(tokens)
+            tokens.append(
+                node_token(node, tuple([slot_of[p] for p in node.parents]))
+            )
     except StructuralOpaque:
         return None
-    return tokens + (("root", plan.root_slot),)
+    tokens.append(("root", len(tokens) - 1))
+    return tuple(tokens)
 
 
 def fingerprint_digest(fingerprint: tuple) -> str:
@@ -220,57 +242,65 @@ def fingerprint_digest(fingerprint: tuple) -> str:
 
 
 class StructuralCache:
-    """Bounded LRU of plan shapes keyed by structural digest.
+    """Bounded LRU of interned shape fingerprints and their keys.
 
-    ``key_for(plan)`` returns ``(key, hit)``: the plan's structural key
-    (``None`` for opaque plans, which are never cached) and whether a
-    structurally *equal* plan was already registered.  Digest collisions
-    fall back to full fingerprint equality before any reuse is reported;
-    genuinely colliding shapes receive salted variant keys.
+    ``key_for(root)`` returns ``(key, hit)`` for the graph under the
+    ``Node`` ``root``: the structural key (``None`` for opaque graphs,
+    which are never cached) and whether a
+    structurally *equal* shape was already registered.  A hit is one dict
+    lookup on the fingerprint; the digest is computed on a miss only, and
+    a digest already taken by a different fingerprint gets a salted
+    variant key.
     """
 
     def __init__(self, limit: int = 512) -> None:
         self.limit = int(limit)
         self._lock = threading.Lock()
-        # digest -> list of (fingerprint, key) variants sharing that digest.
-        self._entries: OrderedDict[str, list[tuple[tuple, str]]] = OrderedDict()
+        # fingerprint -> (key, digest): the interned shapes.
+        self._keys: dict[tuple, tuple[str, str]] = {}
+        # digest -> fingerprints sharing that digest, in LRU order.
+        self._digests: OrderedDict[str, list[tuple]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.collisions = 0
 
-    def key_for(self, plan) -> tuple[str | None, bool]:
-        fingerprint = plan_fingerprint(plan)
+    def key_for(self, root: Node) -> tuple[str | None, bool]:
+        fingerprint = graph_fingerprint(root)
         if fingerprint is None:
             return None, False
-        digest = fingerprint_digest(fingerprint)
         with self._lock:
-            variants = self._entries.get(digest)
-            if variants is None:
-                self._entries[digest] = [(fingerprint, digest)]
-                self.misses += 1
-                while len(self._entries) > self.limit:
-                    self._entries.popitem(last=False)
-                return digest, False
-            self._entries.move_to_end(digest)
-            for stored, key in variants:
-                if stored == fingerprint:
-                    self.hits += 1
-                    return key, True
-            # True digest collision: same digest, different structure.
-            key = f"{digest}#{len(variants)}"
-            variants.append((fingerprint, key))
-            self.collisions += 1
+            interned = self._keys.get(fingerprint)
+            if interned is not None:
+                key, digest = interned
+                self._digests.move_to_end(digest)
+                self.hits += 1
+                return key, True
             self.misses += 1
+            digest = fingerprint_digest(fingerprint)
+            variants = self._digests.get(digest)
+            if variants is None:
+                key = digest
+                self._digests[digest] = [fingerprint]
+                while len(self._digests) > self.limit:
+                    for evicted in self._digests.popitem(last=False)[1]:
+                        del self._keys[evicted]
+            else:
+                # True digest collision: same digest, different structure.
+                key = f"{digest}#{len(variants)}"
+                variants.append(fingerprint)
+                self._digests.move_to_end(digest)
+                self.collisions += 1
+            self._keys[fingerprint] = (key, digest)
             return key, False
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(v) for v in self._entries.values())
+            return len(self._keys)
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "entries": sum(len(v) for v in self._entries.values()),
+                "entries": len(self._keys),
                 "hits": self.hits,
                 "misses": self.misses,
                 "collisions": self.collisions,
@@ -279,7 +309,8 @@ class StructuralCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._keys.clear()
+            self._digests.clear()
             self.hits = 0
             self.misses = 0
             self.collisions = 0
@@ -308,7 +339,7 @@ __all__ = [
     "clear_structural_cache",
     "dist_token",
     "fingerprint_digest",
+    "graph_fingerprint",
     "node_token",
-    "plan_fingerprint",
     "structural_cache_stats",
 ]

@@ -4,12 +4,15 @@ The coalescer is the synchronous heart of the service tier (the asyncio
 front end in :mod:`repro.service.service` only decides *when* to call it).
 Given a batch of :class:`~repro.service.requests.QueryRequest` objects it:
 
-1. **Groups** requests by their plan's structural hash.  Structurally
-   isomorphic plans — same shape, same distribution parameters — compile
-   to interchangeable programs, so one group shares a single compiled,
-   optimized plan (the leader's) and, on the fused engine, a single
-   generated kernel.  Opaque plans (lambdas, hardened sources) group by
-   plan identity instead, so a hot value still batches with itself.
+1. **Groups** requests by the structural key of their graph, taken
+   without compiling it.  Structurally isomorphic graphs — same shape,
+   same distribution parameters — compile to interchangeable programs,
+   so one group compiles and shares a single optimized plan (the
+   leader's, which adopts the group key as its structural hash) and, on
+   the fused engine, a single generated kernel; the other members'
+   graphs are never lowered.  Opaque graphs (lambdas, hardened sources)
+   group by graph identity instead, so a hot value still batches with
+   itself.
 
 2. **Evaluates** each group once per *stream*:
 
@@ -208,6 +211,7 @@ def _evaluate_group(
     group: "list[tuple[int, QueryRequest]]",
     outcomes: BatchOutcome,
     stats: CoalescerStats,
+    key: str,
     *,
     engine,
     config,
@@ -217,8 +221,11 @@ def _evaluate_group(
     tokens: "dict[int, CancellationToken] | None" = None,
     bulkhead=None,
 ) -> None:
-    """Answer one structural group, isolating per-request failures."""
-    plan = group[0][1].value.plan  # the leader's compiled (cached) plan
+    """Answer one structural group, isolating per-request failures.
+
+    Only the leader's graph is compiled (``key`` is the group key), and
+    only once some member is still live.
+    """
     size = len(group)
     decision = degrade if degrade is not None else NO_DEGRADATION
 
@@ -248,6 +255,14 @@ def _evaluate_group(
         else:
             live.append((i, req))
     if not live:
+        return
+
+    try:
+        plan = group[0][1].leader_plan(key)
+    except Exception as exc:  # un-compilable graph: fail its live members
+        for i, _ in live:
+            outcomes[i] = exc
+            stats.failures += 1
         return
 
     # Bulkhead admission: a tripped or saturated group fails fast —
@@ -425,7 +440,7 @@ def evaluate_batch(
     for i, req in enumerate(requests):
         try:
             groups[req.group_key()].append((i, req))
-        except Exception as exc:  # un-compilable value: fail that request
+        except Exception as exc:  # un-keyable value: fail that request
             outcomes[i] = exc
             stats.failures += 1
 
@@ -433,7 +448,7 @@ def evaluate_batch(
     for key, group in groups.items():
         try:
             _evaluate_group(
-                group, outcomes, stats,
+                group, outcomes, stats, key,
                 engine=engine, config=config, pool_rng=pool_rng,
                 retries=retries, degrade=degrade, tokens=tokens,
                 bulkhead=bulkheads.get(key) if bulkheads is not None else None,

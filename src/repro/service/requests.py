@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.plan import graph_structural_hash
 from repro.core.uncertain import Uncertain
 
 #: The blessed query kinds, mirroring the ``Uncertain`` method surface.
@@ -46,6 +47,9 @@ QUERY_KINDS = (
 
 _request_ids = itertools.count(1)
 
+#: Prefix of the group keys of opaque graphs (structural keys are hex).
+_OPAQUE_GROUP = "opaque:"
+
 
 @dataclasses.dataclass(frozen=True)
 class QueryRequest:
@@ -55,8 +59,8 @@ class QueryRequest:
     ----------
     value:
         The :class:`~repro.Uncertain` (or :class:`UncertainBool`) the
-        query interrogates.  Its compiled plan's structural hash is the
-        coalescing key: concurrent requests over isomorphic plans share
+        query interrogates.  Its graph's structural key is the
+        coalescing key: concurrent requests over isomorphic graphs share
         one bulk evaluation.
     kind:
         One of :data:`QUERY_KINDS`.
@@ -144,14 +148,33 @@ class QueryRequest:
         return np.random.default_rng(np.random.SeedSequence(int(self.seed)))
 
     def group_key(self) -> str:
-        """The coalescing key: structural hash, or plan identity for
-        opaque plans (lambdas / hardened sources never share shapes, but
-        many requests against the *same* value still batch together)."""
-        plan = self.value.plan
-        key = plan.structural_hash
+        """The coalescing key: the structural key of the value's graph,
+        or graph identity for opaque graphs (lambdas / hardened sources
+        never share shapes, but many requests against the *same* value
+        still batch together).
+
+        The graph is keyed without being compiled (a compiled plan's key
+        is reused when there is one), so only the plan a group runs is
+        ever lowered.
+        """
+        node = self.value.node
+        key = graph_structural_hash(node)
         if key is None:
-            key = f"opaque:{id(plan)}"
+            key = f"{_OPAQUE_GROUP}{id(node)}"
         return key
+
+    def leader_plan(self, group_key: str):
+        """This request's compiled plan, run for its whole group.
+
+        ``group_key`` is this request's :meth:`group_key`.  A structural
+        group key becomes the plan's structural hash, so the shape is not
+        fingerprinted twice; an opaque group's plan finds its ``None``
+        itself when asked.
+        """
+        plan = self.value.plan
+        if not group_key.startswith(_OPAQUE_GROUP):
+            plan.adopt_structural_hash(group_key)
+        return plan
 
 
 @dataclasses.dataclass

@@ -19,6 +19,7 @@ from repro.core.fused import (
     fused_program,
     kernel_cache_stats,
 )
+from repro.core.graph import BinaryOpNode
 from repro.core.joint import correlated_gaussians
 from repro.core.plan import compile_plan
 from repro.core.uncertain import Uncertain
@@ -133,6 +134,57 @@ class TestEquivalence:
             y.plan.optimized(2), 40, np.random.default_rng(8)
         )[y.plan.optimized(2).root_slot]
         np.testing.assert_array_equal(got, want)
+
+
+#: Every infix op the kernel spells natively, with its label.
+_INFIX_OPS = [
+    pytest.param(op, symbol, id=f"{getattr(op, '__module__', '')}.{op.__name__}")
+    for op, symbol in fused_mod._INFIX_BINARY.items()
+]
+#: Scalars that hit NumPy's power fast paths (square, sqrt, reciprocal,
+#: identity) plus an int and a generic float.
+_SCALARS = (2, 2.0, 0.5, -1.0, 1.0, 3, 1.7)
+
+
+def _infix_leaves():
+    return (
+        Uncertain(Gaussian(0.5, 1.0)),
+        Uncertain(Uniform(0.3, 2.0)),
+        Uncertain(Exponential(1.5)),
+    )
+
+
+class TestInfixScalarOperands:
+    """A scalar point mass may be inlined into a kernel expression only
+    where that gives the engine's values bit for bit (``x ** 2`` with a
+    scalar exponent does not: NumPy squares instead of calling pow)."""
+
+    @pytest.mark.parametrize("op, symbol", _INFIX_OPS)
+    @pytest.mark.parametrize("side", ["scalar-left", "scalar-right"])
+    def test_fused_matches_numpy_bit_for_bit(self, op, symbol, side):
+        for leaf in _infix_leaves():
+            for scalar in _SCALARS:
+                const = Uncertain.pointmass(scalar).node
+                operands = (
+                    (const, leaf.node) if side == "scalar-left"
+                    else (leaf.node, const)
+                )
+                plan = compile_plan(BinaryOpNode(op, *operands, symbol))
+                with np.errstate(all="ignore"):
+                    got = get_engine("fused").run(
+                        plan, 1000, np.random.default_rng(7))[plan.root_slot]
+                    want = NumpyEngine().run(
+                        plan, 1000, np.random.default_rng(7))[plan.root_slot]
+                where = f"{leaf.node.dist!r} {side} {scalar!r}"
+                assert got.dtype == want.dtype, where
+                assert got.tobytes() == want.tobytes(), where
+
+    def test_pow_kernel_stays_certified(self):
+        # Bit-identity of this kernel is covered above; its record agrees.
+        plan = compile_plan((Uncertain(Uniform(0.3, 2.0)) ** 2).node)
+        get_engine("fused").run(plan, 1000, np.random.default_rng(7))
+        (record,) = plan.certification_records()
+        assert record.as_dict()["status"] == "certified"
 
 
 class TestFallbacks:

@@ -3,7 +3,8 @@
 Compiling a plan registers nothing in the structural cache.  The key is
 fingerprinted once, when a consumer asks for it: the fused kernel cache,
 the sample ledger, parallel payloads, service coalescing or the rewrite
-certifier.  Isomorphic plans still resolve to equal keys on every path.
+certifier.  Service coalescing keys the request graph itself, before any
+plan exists.  Isomorphic plans still resolve to equal keys on every path.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.core.conditionals import evaluation_config
 from repro.core.fused import fused_program
 from repro.core.ledger import clear_ledger, ledger_stats
-from repro.core.plan import compile_plan
+from repro.core.plan import compile_plan, graph_structural_hash
 from repro.core.structural import clear_structural_cache, structural_cache_stats
 from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
@@ -95,6 +96,40 @@ def test_service_groups_isomorphic_plans():
     ]
     keys = {request.group_key() for request in requests}
     assert len(keys) == 1 and None not in keys
+    # Keyed from the graphs: nothing was compiled.
+    assert all(r.value.node._compiled_plan is None for r in requests)
+    assert keys == {compile_plan(speed().node).structural_hash}
+
+
+def test_graph_keys_count_like_plan_keys():
+    # plans.structural_hits/misses count a graph-keyed lookup exactly as
+    # EvaluationPlan.structural_hash counts a plan-keyed one.
+    def counts(key_of):
+        clear_structural_cache()
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
+            keys = [key_of(speed()) for _ in range(3)]
+            keys.append(key_of(speed().map(lambda v: v, vectorized=True)))
+        plans = metrics.snapshot()["plans"]
+        stats = structural_cache_stats()
+        assert (plans["structural_misses"], plans["structural_hits"]) == (
+            stats["misses"], stats["hits"])
+        return keys, plans["structural_misses"], plans["structural_hits"]
+
+    by_graph = counts(lambda u: graph_structural_hash(u.node))
+    by_plan = counts(lambda u: compile_plan(u.node).structural_hash)
+    assert by_graph == by_plan
+    keys, misses, hits = by_graph
+    assert (misses, hits) == (1, 2) and keys[3] is None
+
+
+def test_graph_key_reuses_a_compiled_plans_key():
+    value = speed()
+    plan = compile_plan(value.node)
+    key = plan.structural_hash
+    before = structural_cache_stats()
+    assert graph_structural_hash(value.node) == key
+    assert structural_cache_stats() == before
 
 
 def test_parallel_payloads_key_isomorphic_plans_alike():

@@ -20,7 +20,11 @@ from repro.core.engines import InterpreterEngine, NumpyEngine
 from repro.core.graph import BinaryOpNode, LeafNode, UnaryOpNode
 from repro.core.joint import ComponentNode
 from repro.core.optimizer import _run_passes, optimize_plan
-from repro.core.plan import compile_plan
+from repro.core.plan import compile_plan, graph_structural_hash
+from repro.core.structural import (
+    graph_fingerprint,
+    node_token,
+)
 from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
 from repro.dists.gaussian import Gaussian, MultivariateGaussian
@@ -207,3 +211,26 @@ def test_lowering_keeps_iter_nodes_order(corpus):
         plan = compile_plan(value.node)
         assert [s.node for s in plan.steps] == list(iter_nodes(value.node))
         assert [entry[2] for entry in plan.program] == list(range(len(plan.steps)))
+
+
+def test_graph_keys_equal_plan_keys(corpus):
+    # Keying a graph before it is lowered gives the key its plan gets,
+    # and ``None`` for opaque graphs.
+    keyed = 0
+    for seed, value in enumerate(corpus):
+        fresh = generate_plan(seed)  # same shape, nodes never lowered
+        graph_key = graph_structural_hash(fresh.node)
+        assert fresh.node._compiled_plan is None
+        plan = compile_plan(value.node)
+        assert graph_key == plan.structural_hash
+        # A graph's tokens are its plan's steps (parent indices = slots),
+        # for raw and optimized plans alike.
+        for lowered in (plan, plan.optimized(2)):
+            assert graph_fingerprint(lowered.root)[:-1] == tuple(
+                node_token(s.node, s.parent_slots) for s in lowered.steps)
+        hidden = fresh.map(lambda v: v, vectorized=True)
+        assert graph_fingerprint(hidden.node) is None
+        assert graph_structural_hash(hidden.node) is None
+        assert compile_plan(hidden.node).structural_hash is None
+        keyed += graph_key is not None
+    assert keyed == CORPUS_SIZE

@@ -9,18 +9,23 @@ hash cannot capture (lambdas, closures, stateful sources) are opaque.
 import numpy as np
 import pytest
 
+import repro.core.structural as structural_mod
 from repro.core.plan import compile_plan
 from repro.core.structural import (
     StructuralCache,
     canonical_value,
     clear_structural_cache,
-    plan_fingerprint,
+    graph_fingerprint,
     structural_cache_stats,
 )
 from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
+
+
+#: The one digest every fingerprint gets when a collision is simulated.
+COLLIDING_DIGEST = "c0" * 16
 
 
 @pytest.fixture(autouse=True)
@@ -106,35 +111,68 @@ class TestCollisionHandling:
     def test_hit_requires_full_fingerprint_equality(self):
         cache = StructuralCache()
         p1 = compile_plan(gps_speed(mu=1.5).node)
-        key1, hit1 = cache.key_for(p1)
+        key1, hit1 = cache.key_for(p1.root)
         assert not hit1
         # Another plan with an equal fingerprint hits the same key only
         # after the stored fingerprint compares equal in full.
         p2 = compile_plan(gps_speed(mu=1.5).node)
-        key2, hit2 = cache.key_for(p2)
+        key2, hit2 = cache.key_for(p2.root)
         assert (key2, hit2) == (key1, True)
 
-    def test_true_digest_collision_gets_salted_key(self):
+    def test_true_digest_collision_gets_salted_key(self, monkeypatch):
+        # Simulate a BLAKE2b collision: every fingerprint gets the same
+        # digest.  The cache must notice that the fingerprints differ and
+        # salt the newcomer's key rather than alias it.
+        monkeypatch.setattr(structural_mod, "fingerprint_digest",
+                            lambda fingerprint: COLLIDING_DIGEST)
         cache = StructuralCache()
-        p1 = compile_plan(gps_speed(mu=1.5).node)
-        key1, _ = cache.key_for(p1)
-        # Simulate a BLAKE2b collision: replace the stored fingerprint
-        # under p1's digest with a different structure.  The cache must
-        # notice the mismatch and salt p1's key rather than alias it.
-        cache._entries[key1] = [(("bogus",), key1)]
-        key1b, hit1b = cache.key_for(p1)
+        key1, hit1 = cache.key_for(gps_speed(mu=1.5).node)
+        assert (key1, hit1) == (COLLIDING_DIGEST, False)
+        key1b, hit1b = cache.key_for(gps_speed(mu=2.5).node)
         assert key1b == f"{key1}#1"
         assert not hit1b
         assert cache.stats()["collisions"] == 1
-        # The salted variant is now registered: the same shape hits it.
-        p2 = compile_plan(gps_speed(mu=1.5).node)
-        key2, hit2 = cache.key_for(p2)
-        assert (key2, hit2) == (key1b, True)
+        # The salted variant is now registered: the same shape hits it
+        # and the first shape keeps its own key.
+        assert cache.key_for(gps_speed(mu=2.5).node) == (key1b, True)
+        assert cache.key_for(gps_speed(mu=1.5).node) == (key1, True)
+        assert cache.stats()["collisions"] == 1
+
+    @pytest.mark.parametrize("collide", [False, True], ids=["blake2b", "one-digest"])
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, -0.0), (float("nan"), 0.0), (float("nan"), -0.0)],
+        ids=["zero-vs-negzero", "nan-vs-zero", "nan-vs-negzero"])
+    def test_equal_comparing_or_nan_params_never_alias(
+            self, monkeypatch, collide, a, b):
+        # 0.0 == -0.0 (with equal hashes) and nan != nan: an interned
+        # fingerprint holding raw floats would alias the first pair and
+        # never hit the second.  Keys must tell both apart from every
+        # other shape and stay stable for the same shape.
+        if collide:
+            monkeypatch.setattr(structural_mod, "fingerprint_digest",
+                                lambda fingerprint: COLLIDING_DIGEST)
+        cache = StructuralCache()
+
+        def shapes(v):
+            x = Uncertain(Gaussian(0.0, 1.0))
+            return [x + v, Uncertain(Gaussian(v, 1.0)) * 2.0]
+
+        for first, second in zip(shapes(a), shapes(b)):
+            key_a, _ = cache.key_for(first.node)
+            key_b, _ = cache.key_for(second.node)
+            assert key_a != key_b
+        for value in (a, b):
+            again = shapes(value)
+            keys = [cache.key_for(u.node) for u in again]
+            plan_keys = [cache.key_for(compile_plan(u.node).root) for u in again]
+            assert all(hit for _, hit in keys + plan_keys)
+            assert [k for k, _ in keys] == [k for k, _ in plan_keys]
+        assert cache.stats()["entries"] == 4
 
     def test_reuse_requires_identical_fingerprints(self):
         p1 = compile_plan(gps_speed(mu=1.5).node)
         p2 = compile_plan(gps_speed(mu=2.0).node)
-        assert plan_fingerprint(p1) != plan_fingerprint(p2)
+        assert graph_fingerprint(p1.root) != graph_fingerprint(p2.root)
         assert p1.structural_hash != p2.structural_hash
 
 
@@ -143,7 +181,7 @@ class TestCacheBounds:
         cache = StructuralCache(limit=4)
         for i in range(10):
             plan = compile_plan((Uncertain(Gaussian(float(i), 1.0)) + float(i)).node)
-            cache.key_for(plan)
+            cache.key_for(plan.root)
         assert len(cache) <= 4
 
     def test_global_stats_shape(self):
